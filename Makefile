@@ -14,7 +14,7 @@ FUZZ_TARGETS = \
 	FuzzProfDecode=./internal/prof
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race bench bench-json bench-diff lint safelint staticcheck govulncheck experiments examples fuzz cover clean
+.PHONY: all build vet test race bench-smoke bench bench-json bench-diff lint safelint staticcheck govulncheck experiments examples fuzz cover clean
 
 all: build lint test
 
@@ -31,6 +31,13 @@ test:
 # safelint ownership pass.
 race:
 	$(GO) test -race ./...
+
+# The repository benchmark (bench/) is a module of its own, so
+# `go test ./...` above never compiles it. Its tests vet it against the
+# packages it wraps and run every workload for one pass: every metric
+# printed, no failed frame, and a traced frame that telescopes exactly.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate every table/figure in EXPERIMENTS.md as benchmark targets.
 bench:

@@ -220,6 +220,45 @@ func TestGoldenRestoreRepairsSEU(t *testing.T) {
 	}
 }
 
+// A restore inside a frame scope ends it: readers later in the frame get
+// the repaired image's output, not the forward result of the faulty one.
+func TestGoldenRestoreEndsFrameScope(t *testing.T) {
+	net := newTestNet(940)
+	golden, err := NewGolden(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(1, 16, 16)
+	for i := range x.Data() {
+		x.Data()[i] = float32(i%7) / 7
+	}
+	clean := NetProbe{Net: net}.Logits(x)
+	if err := InjectSEU(net, 40, 941); err != nil {
+		t.Fatal(err)
+	}
+
+	net.BeginFrame(x)
+	defer net.EndFrame()
+	faulty := NetProbe{Net: net}.Logits(x)
+	if err := golden.Restore(net); err != nil {
+		t.Fatal(err)
+	}
+	repaired := NetProbe{Net: net}.Logits(x)
+	// The next frame's pass runs through the restored layers too.
+	net.EndFrame()
+	net.BeginFrame(x)
+	next := NetProbe{Net: net}.Logits(x)
+	for i := range clean {
+		if math.Float32bits(repaired[i]) != math.Float32bits(clean[i]) {
+			t.Fatalf("logits after the in-frame restore %v, want the clean image's %v (faulty image gave %v)",
+				repaired, clean, faulty)
+		}
+		if math.Float32bits(next[i]) != math.Float32bits(clean[i]) {
+			t.Fatalf("logits in the frame after the restore %v, want the clean image's %v", next, clean)
+		}
+	}
+}
+
 func TestGoldenRefusesCorruptImage(t *testing.T) {
 	net := newTestNet(930)
 	golden, err := NewGolden(net)

@@ -56,8 +56,11 @@ func (g *Golden) Verify(net *nn.Network) bool {
 // Restore re-deserializes the golden image into live, replacing its
 // layers (and so its weights) in place: channels holding the *nn.Network
 // pointer see the repaired model. The stored image is hash-verified
-// before deserialization so a corrupted spare is never loaded.
+// before deserialization so a corrupted spare is never loaded. Restore
+// ends live's frame scope, if one is open, so no consumer later in the
+// frame reads the forward result of the faulty image.
 func (g *Golden) Restore(live *nn.Network) error {
+	live.EndFrame()
 	sum := sha256.Sum256(g.image)
 	if hex.EncodeToString(sum[:]) != g.hash {
 		return ErrGoldenCorrupt

@@ -17,6 +17,11 @@ type Network struct {
 
 	// activations[0] is the input; activations[i+1] is Layers[i]'s output.
 	activations []*tensor.Tensor
+
+	// frame is the open frame scope's shared result and arena the
+	// buffers its pass runs in (see BeginFrame).
+	frame frameResult
+	arena *frameArena
 }
 
 // NewNetwork constructs a network over the given layers.
@@ -92,35 +97,59 @@ func (n *Network) ZeroGrad() {
 	}
 }
 
-// Logits runs Forward and returns the raw output vector.
-func (n *Network) Logits(x *tensor.Tensor) *tensor.Tensor { return n.Forward(x) }
+// Logits runs Forward and returns the raw output vector. Inside a frame
+// scope on x it returns the frame's shared logits (see BeginFrame).
+func (n *Network) Logits(x *tensor.Tensor) *tensor.Tensor {
+	if f := n.scoped(x); f != nil {
+		return f.logits
+	}
+	return n.Forward(x)
+}
 
 // Predict runs Forward and returns the argmax class and its softmax
-// probability vector.
+// probability vector. Inside a frame scope on x it returns the frame's
+// shared class and probabilities (see BeginFrame).
 func (n *Network) Predict(x *tensor.Tensor) (class int, probs *tensor.Tensor) {
-	logits := n.Forward(x)
-	probs = tensor.New(logits.Shape()...)
-	tensor.Softmax(probs, logits)
-	return probs.Argmax(), probs
+	if f := n.scoped(x); f != nil {
+		return f.class, f.probs
+	}
+	return softmaxClass(n.Forward(x))
 }
 
 // Features runs Forward and returns the cached activation of the
 // penultimate parametric stage — the input to the final Dense layer —
 // which is the embedding the Mahalanobis supervisor models. It falls back
-// to the network input if no Dense layer exists.
+// to the network input if no Dense layer exists. Inside a frame scope on
+// x it returns the frame's shared features (see BeginFrame).
 func (n *Network) Features(x *tensor.Tensor) []float32 {
+	if f := n.scoped(x); f != nil {
+		return f.features
+	}
 	n.Forward(x)
+	return n.features()
+}
+
+// softmaxClass is Predict's decision: the softmax of the logits and its
+// argmax. The class is taken from the probabilities, not the logits:
+// under corrupted weights the logits can hold Inf or NaN, and the two
+// argmaxes then differ.
+func softmaxClass(logits *tensor.Tensor) (int, *tensor.Tensor) {
+	probs := tensor.New(logits.Shape()...)
+	tensor.Softmax(probs, logits)
+	return probs.Argmax(), probs
+}
+
+// features copies the penultimate activation of the most recent Forward.
+func (n *Network) features() []float32 {
 	lastDense := -1
 	for i, l := range n.Layers {
 		if _, ok := l.(*Dense); ok {
 			lastDense = i
 		}
 	}
-	var act *tensor.Tensor
+	act := n.Activation(-1) // the input when there is no Dense layer
 	if lastDense >= 0 {
 		act = n.Activation(lastDense - 1)
-	} else {
-		act = n.Activation(-1)
 	}
 	out := make([]float32, act.Len())
 	copy(out, act.Data())
