@@ -321,3 +321,30 @@ func BenchmarkConv2D(b *testing.B) {
 		Conv2D(out, in, w, bias, 1, 1)
 	}
 }
+
+// A kernel's shape panic names what does not fit and the sizes involved.
+func TestKernelShapePanicMessages(t *testing.T) {
+	for _, c := range []struct {
+		want string
+		run  func()
+	}{
+		{"tensor: MatVec shape mismatch [2 3] @ [4] -> [2]", func() { MatVec(New(2), New(2, 3), New(4)) }},
+		{"tensor: Conv2D channel mismatch input 2 weights 1", func() { Conv2D(New(1, 4, 4), New(2, 4, 4), New(1, 1, 1, 1), nil, 1, 0) }},
+		{"tensor: Conv2D dst shape [1 3 3], want [1 4 4]", func() { Conv2D(New(1, 3, 3), New(1, 4, 4), New(1, 1, 1, 1), nil, 1, 0) }},
+		{"tensor: Conv2D bias shape [2], want [1]", func() { Conv2D(New(1, 4, 4), New(1, 4, 4), New(1, 1, 1, 1), New(2), 1, 0) }},
+		{"tensor: MaxPool2D dst shape [1 1 1], want [1 2 2]", func() { MaxPool2D(New(1, 1, 1), New(1, 4, 4), 2, 2, nil) }},
+		{"tensor: MaxPool2D argmax length 3, want 4", func() { MaxPool2D(New(1, 2, 2), New(1, 4, 4), 2, 2, make([]int, 3)) }},
+		{"tensor: shape mismatch in ReLU [2] [3]", func() { ReLU(New(2), New(3)) }},
+		{"tensor: shape mismatch [2] [2] [3]", func() { Add(New(2), New(2), New(3)) }},
+	} {
+		func() {
+			defer func() {
+				err, ok := recover().(error)
+				if !ok || err.Error() != c.want {
+					t.Errorf("panic %v, want %q", err, c.want)
+				}
+			}()
+			c.run()
+		}()
+	}
+}
